@@ -421,9 +421,14 @@ class EdgeCoordinator:
             return None
         return float(np.mean(np.asarray(rates)) / self.capacity)
 
+    @property
+    def heard(self) -> int:
+        """Fleet devices with a stored report."""
+        return len([d for d in self.known if d in self._reports])
+
     def _record(self, measured: float) -> None:
         now = self.runtime.now
-        heard = len([d for d in self.known if d in self._reports])
+        heard = self.heard
         members = len(self.members(now))
         trace = self.trace
         trace.times.append(now)

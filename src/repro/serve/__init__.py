@@ -34,7 +34,7 @@ from repro.serve.service import (
     ServeConfig,
     ServingCoordinator,
 )
-from repro.serve.wallclock import WallClockDriver, WallClockTransport
+from repro.serve.wallclock import WallClockDriver
 
 __all__ = [
     "AdmissionController",
@@ -46,5 +46,4 @@ __all__ = [
     "ServeConfig",
     "ServingCoordinator",
     "WallClockDriver",
-    "WallClockTransport",
 ]

@@ -21,11 +21,12 @@
   ``/state``), exercised here on irregular wall-clock windows rather
   than the lockstep virtual clock.
 
-Every ``decide`` doubles as a :class:`~repro.net.messages.ThresholdReport`
-to the coordinator (marshalled onto the driver thread), so the service
-measures γ from the traffic it actually serves; with a frozen population
-querying steadily, the γ̂ trajectory settles onto the same fixed point as
-the offline :func:`repro.core.dtu.run_dtu` (pinned by
+Every ``decide`` doubles as a report: the batch's ids, thresholds and
+offload rates are handed to the driver thread as arrays and written into
+the coordinator's device-indexed report table in one call, so the
+service measures γ from the traffic it actually serves; with a frozen
+population querying steadily, the γ̂ trajectory settles onto the same
+fixed point as the offline :func:`repro.core.dtu.run_dtu` (pinned by
 ``tests/test_serve.py``).
 
 **Staleness semantics** — responses carry ``stale: true`` when the γ̂
@@ -38,21 +39,22 @@ get the best available answer.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.edge_delay import PAPER_DELAY_MODEL, EdgeDelayModel
 from repro.core.kernels import CompiledMeanField, compile_mean_field
-from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
-from repro.net.messages import JoinLeave, ThresholdReport
+from repro.net.actors import EdgeCoordinator
+from repro.net.transport import LocalTransport
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import ObsRecorder, Recorder
 from repro.population.sampler import Population
-from repro.serve.wallclock import WallClockDriver, WallClockTransport
+from repro.serve.wallclock import WallClockDriver
 from repro.simulation.online import WindowedRateEstimator
 from repro.utils.validation import (
     check_int_positive,
@@ -141,32 +143,85 @@ class ServeConfig:
         )
 
 
+#: ``report_round`` of a device with no stored report (rounds start at 0).
+_NO_REPORT = -1
+
+
 class ServingCoordinator(EdgeCoordinator):
     """The edge actor adapted to the pull-model daemon.
 
-    Three deviations from the virtual-time coordinator, all additive:
+    Three deviations from the virtual-time coordinator:
 
     * **broadcast publishes, it does not push** — HTTP clients pull γ̂
       via ``/decide``, so a round opens (round counter + span) without
       fanning N messages out to mailboxes that don't exist;
     * **membership starts empty** — the provisioned fleet joins
-      explicitly (or implicitly on first decide), so ``_left`` begins as
-      the whole population instead of nobody;
-    * **measure walks the report table, not the fleet** — identical
-      arithmetic (same staleness/liveness tests, same NumPy reduction in
-      device order), but O(devices heard) instead of O(N) per round,
-      which matters when N is 10⁶ and a round is a wall-clock period.
+      explicitly (or implicitly on first decide);
+    * **reports live in a device-indexed table, not a message queue** —
+      one array per column (report time, report round, offload rate,
+      threshold, last-heard time, joined mask), sized to the fleet and
+      written a whole decide batch at a time by :meth:`ingest_reports`
+      on the loop thread.  It is the only per-device state (the
+      inherited dicts are dropped); ``_measure`` is a masked reduction
+      with the base class's arithmetic (same staleness and liveness
+      tests, same ``np.mean`` over the selected rates in ascending
+      device order, so γ is bit-equal).
 
-    The round loop, drain, stepper, and degradation logic are inherited
-    untouched.
+    Under ``auto_join`` a decide re-joins a device that left, even when
+    the ``/leave`` landed earlier in the same round: writes apply in
+    arrival order, not as of the last round's drain.
+
+    The round loop, stepper and degradation logic are inherited
+    untouched; the mailbox stays registered but nothing is sent to it.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._left = set(self.known)
+        n = len(self.known)
+        if self.known != list(range(n)):
+            raise ValueError("serving fleets are device ids 0..N-1")
+        del self._reports, self._left, self._last_heard
+        self._report_time = np.zeros(n)
+        self._report_round = np.full(n, _NO_REPORT, dtype=np.int64)
+        self._report_rate = np.zeros(n)
+        self._report_threshold = np.zeros(n)
+        self._heard_at = np.zeros(n)
+        self._joined = np.zeros(n, dtype=bool)
         self.last_round_ended = 0.0
         self.last_round_status = "init"
         self.rounds_completed = 0
+
+    # -- table writes (loop thread only) -----------------------------------
+
+    def ingest_reports(self, ids: np.ndarray, round_number: int,
+                       thresholds: np.ndarray, rates: np.ndarray,
+                       join: bool) -> None:
+        """Record a decide batch: one report per device, one array pass.
+
+        A repeated id keeps its last report; a stored report from a
+        newer round is not overwritten.
+        """
+        now = self.runtime.now
+        devices, last = np.unique(ids[::-1], return_index=True)
+        rows = ids.size - 1 - last
+        self._heard_at[devices] = now
+        if join:
+            self._joined[devices] = True
+        newer = self._report_round[devices] <= round_number
+        devices, rows = devices[newer], rows[newer]
+        self._report_time[devices] = now
+        self._report_round[devices] = round_number
+        self._report_rate[devices] = rates[rows]
+        self._report_threshold[devices] = thresholds[rows]
+
+    def set_membership(self, ids: np.ndarray, joining: bool) -> None:
+        """Explicit join or leave; leaving drops the device's report."""
+        self._heard_at[ids] = self.runtime.now
+        self._joined[ids] = joining
+        if not joining:
+            self._report_round[ids] = _NO_REPORT
+
+    # -- protocol hooks ----------------------------------------------------
 
     def _broadcast(self) -> None:
         self.round += 1
@@ -184,26 +239,42 @@ class ServingCoordinator(EdgeCoordinator):
         self.rounds_completed += 1
         super()._close_round_span(status, **tags)
 
+    def _live(self, now: float) -> np.ndarray:
+        timeout = self.config.liveness_timeout
+        if timeout is None:
+            return self._joined
+        return self._joined & (now - self._heard_at <= timeout)
+
     def _measure(self, now: float) -> Optional[float]:
-        window = self.config.report_window
-        rates: List[float] = []
-        # Sorted device order: the same multiset, in the same order, as
-        # the fleet-walking base implementation would produce.
-        for device in sorted(self._reports):
-            delivered_at, report_round, rate, _ = self._reports[device]
-            stale = (now - delivered_at > window
-                     and report_round != self.round)
-            if stale or not self._alive(device, now):
-                continue
-            rates.append(rate)
-        if not rates:
+        rounds = self._report_round
+        fresh = (now - self._report_time <= self.config.report_window) \
+            | (rounds == self.round)
+        selected = self._live(now) & (rounds != _NO_REPORT) & fresh
+        if not selected.any():
             return None
-        return float(np.mean(np.asarray(rates)) / self.capacity)
+        return float(np.mean(self._report_rate[selected]) / self.capacity)
+
+    # -- table reads -------------------------------------------------------
+
+    def members(self, now: float) -> np.ndarray:
+        """Live member ids, ascending."""
+        return np.flatnonzero(self._live(now))
+
+    @property
+    def heard(self) -> int:
+        return int(np.count_nonzero(self._report_round != _NO_REPORT))
 
     @property
     def joined(self) -> int:
         """Devices currently joined (explicit membership only)."""
-        return len(self.known) - len(self._left)
+        return int(np.count_nonzero(self._joined))
+
+    @property
+    def mean_threshold(self) -> float:
+        reported = self._report_round != _NO_REPORT
+        if not reported.any():
+            return 0.0
+        return float(np.mean(self._report_threshold[reported]))
 
 
 class AdmissionController:
@@ -243,8 +314,8 @@ class DecisionService:
     Thread model: the coordinator runs on the driver's loop thread;
     ``decide``/``join``/``leave``/``state`` are called from arbitrary
     threads and only *read* actor state (plain floats/ints, GIL-atomic)
-    — every write is marshalled to the loop thread as real protocol
-    messages.
+    — every write is marshalled to the loop thread as one call into the
+    coordinator's report table.
     """
 
     def __init__(
@@ -272,10 +343,9 @@ class DecisionService:
             self.registry = MetricsRegistry()
             self._obs = ObsRecorder(self.registry)
         self.driver = WallClockDriver()
-        self.transport = WallClockTransport(self.driver, record_log=False)
         self.coordinator = ServingCoordinator(
             runtime=self.driver,
-            transport=self.transport,
+            transport=LocalTransport(self.driver, record_log=False),
             devices=range(population.size),
             capacity=population.capacity,
             config=self.config.protocol(),
@@ -331,14 +401,14 @@ class DecisionService:
         """Thresholds for a device batch at the current γ̂ — one probe.
 
         Returns a JSON-ready payload.  ``report=True`` (the default)
-        feeds the decisions back to the coordinator as
-        :class:`ThresholdReport` messages, so served traffic *is* the
-        measurement population.  Raises :class:`ValueError` for unknown
-        device ids or an oversized batch (the HTTP layer maps that to
-        400/413).
+        writes the decisions into the coordinator's report table, so
+        served traffic *is* the measurement population.  Raises
+        :class:`ValueError` for unknown device ids or an oversized batch
+        (the HTTP layer maps that to 400/413).
         """
         single = np.isscalar(devices)
-        ids = np.atleast_1d(np.asarray(devices, dtype=np.int64))
+        # A copy: the queued report must not see a caller's later writes.
+        ids = np.array(devices, dtype=np.int64, ndmin=1)
         if ids.size == 0:
             raise ValueError("empty device batch")
         if ids.size > self.config.max_batch:
@@ -358,11 +428,8 @@ class DecisionService:
         rates = self.population.arrival_rates[ids] * alphas
 
         if report:
-            id_list = [int(i) for i in ids]
-            rate_list = [float(r) for r in rates]
-            threshold_list = [float(t) for t in thresholds]
-            self.driver.submit(lambda: self._ingest_reports(
-                id_list, round_number, threshold_list, rate_list))
+            self.driver.submit(functools.partial(
+                self._ingest_reports, ids, round_number, thresholds, rates))
         now = self.driver.now
         with self._load_lock:
             self.load.record(now)
@@ -371,11 +438,11 @@ class DecisionService:
         self.registry.observe("serve.batch_size", float(ids.size))
 
         decisions = [
-            {"device": int(device), "threshold": int(threshold),
-             "offload_probability": float(alpha),
-             "offload_rate": float(rate)}
+            {"device": device, "threshold": threshold,
+             "offload_probability": alpha, "offload_rate": rate}
             for device, threshold, alpha, rate
-            in zip(ids, thresholds, alphas, rates)
+            in zip(ids.tolist(), thresholds.tolist(), alphas.tolist(),
+                   rates.tolist())
         ]
         payload = {
             "round": round_number,
@@ -388,41 +455,29 @@ class DecisionService:
         return payload
 
     def join(self, devices: Union[int, Iterable[int]]) -> int:
-        """Announce membership — one :class:`JoinLeave` per device."""
+        """Announce membership for a device batch."""
         return self._membership(devices, joining=True)
 
     def leave(self, devices: Union[int, Iterable[int]]) -> int:
         return self._membership(devices, joining=False)
 
     def _membership(self, devices, joining: bool) -> int:
-        ids = [int(d) for d in np.atleast_1d(
-            np.asarray(devices, dtype=np.int64))]
-        for device in ids:
-            if device < 0 or device >= self.population.size:
-                raise ValueError(
-                    f"device ids must be in [0, {self.population.size})")
-        self.driver.submit(lambda: self._ingest_membership(ids, joining))
+        ids = np.array(devices, dtype=np.int64, ndmin=1)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.population.size):
+            raise ValueError(
+                f"device ids must be in [0, {self.population.size})")
+        self.driver.submit(functools.partial(
+            self.coordinator.set_membership, ids, joining))
         self.registry.inc("serve.joins" if joining else "serve.leaves",
-                          float(len(ids)))
-        return len(ids)
+                          float(ids.size))
+        return int(ids.size)
 
     # -- loop-thread ingestion (called via driver.submit only) -------------
 
-    def _ingest_reports(self, ids: List[int], round_number: int,
-                        thresholds: List[float], rates: List[float]) -> None:
-        coordinator = self.coordinator
-        for device, threshold, rate in zip(ids, thresholds, rates):
-            if self.config.auto_join and device in coordinator._left:
-                self.transport.send(device, EDGE_ADDRESS,
-                                    JoinLeave(device, True))
-            self.transport.send(
-                device, EDGE_ADDRESS,
-                ThresholdReport(device, round_number, threshold, rate))
-
-    def _ingest_membership(self, ids: List[int], joining: bool) -> None:
-        for device in ids:
-            self.transport.send(device, EDGE_ADDRESS,
-                                JoinLeave(device, joining))
+    def _ingest_reports(self, ids: np.ndarray, round_number: int,
+                        thresholds: np.ndarray, rates: np.ndarray) -> None:
+        self.coordinator.ingest_reports(ids, round_number, thresholds, rates,
+                                        join=self.config.auto_join)
 
     # -- state -------------------------------------------------------------
 

@@ -20,27 +20,14 @@ actors' synchronous segments exactly like virtual-clock events.  Reads
 of plain floats/ints (γ̂, round numbers) from foreign threads are safe
 under the GIL and are the only cross-thread access the serving layer
 performs.
-
-:class:`WallClockTransport` is the matching
-:class:`~repro.net.transport.Transport`: real
-:class:`~repro.net.messages.Envelope` records into real mailboxes with a
-real :class:`~repro.net.messages.MessageLog`, except that zero-delay
-sends deliver synchronously (no event churn at serving rates) and
-``send`` must already be on the loop thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
 import time
 from typing import Callable, Coroutine, List, Optional, Sequence
-
-from repro.net.clock import Mailbox
-from repro.net.messages import Address, Envelope, Message, MessageLog
-from repro.obs.context import resolve_recorder
-from repro.obs.recorder import Recorder
 
 
 class _WallClock:
@@ -189,56 +176,3 @@ class WallClockDriver:
         state = "stopped" if self.stopping or self._thread is None \
             else "running"
         return f"WallClockDriver(now={self.now:.3f}, {state})"
-
-
-class WallClockTransport:
-    """In-process message delivery over the wall clock.
-
-    The :class:`~repro.net.transport.Transport` protocol with the same
-    envelope stamping and fate accounting as
-    :class:`~repro.net.transport.LocalTransport`, minus the event-heap
-    hop: a zero-delay ``send`` delivers synchronously into the
-    destination mailbox, so a batch of reports costs B envelope builds,
-    not B scheduled callbacks.  ``send`` must run on the driver's loop
-    thread (callers marshal via :meth:`WallClockDriver.submit`), which
-    keeps mailboxes and the log single-threaded.
-    """
-
-    def __init__(self, driver: WallClockDriver, record_log: bool = False,
-                 recorder: Optional[Recorder] = None):
-        self.driver = driver
-        self.log = MessageLog(record_entries=record_log)
-        self._mailboxes: dict = {}
-        self._seq = itertools.count()
-        self._obs = resolve_recorder(recorder)
-
-    def register(self, address: Address) -> Mailbox:
-        """Create (or return) the inbox for ``address``."""
-        if address not in self._mailboxes:
-            self._mailboxes[address] = Mailbox()
-        return self._mailboxes[address]
-
-    def send(self, src: Address, dst: Address, message: Message,
-             delay: float = 0.0, parent: Optional[int] = None) -> None:
-        now = self.driver.now
-        envelope = Envelope(
-            seq=next(self._seq), src=src, dst=dst,
-            sent_at=now, delivered_at=now + delay, message=message,
-        )
-        self.log.record("sent", envelope)
-        if self._obs.enabled:
-            self._obs.count("net.messages_sent")
-        if delay > 0.0:
-            self.driver.call_later(delay, lambda: self._deliver(envelope))
-        else:
-            self._deliver(envelope)
-
-    def _deliver(self, envelope: Envelope) -> None:
-        mailbox = self._mailboxes.get(envelope.dst)
-        if mailbox is None:
-            self.log.record("unroutable", envelope, delivered=False)
-            return
-        self.log.record("delivered", envelope)
-        if self._obs.enabled:
-            self._obs.count("net.messages_delivered")
-        mailbox.put(envelope)

@@ -14,11 +14,14 @@ Three contracts pin :mod:`repro.serve` to the rest of the repo:
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from repro.core.dtu import DtuConfig, run_dtu
 from repro.core.edge_delay import PAPER_DELAY_MODEL
 from repro.core.kernels import compile_mean_field
 from repro.core.meanfield import MeanFieldMap
+from repro.net.actors import EDGE_ADDRESS, EdgeCoordinator
+from repro.net.messages import Envelope, JoinLeave, ThresholdReport
+from repro.net.transport import LocalTransport
 from repro.population.sampler import sample_population
 from repro.population.scenarios import build_scenario
 from repro.serve import (
@@ -34,6 +40,7 @@ from repro.serve import (
     DecisionServer,
     DecisionService,
     ServeConfig,
+    ServingCoordinator,
     WallClockDriver,
 )
 from repro.serve.replay import ReplayConfig, run_replay
@@ -243,6 +250,251 @@ class TestDecisionService:
             time.sleep(0.1)
             assert service.state()["members"] == 2
         assert not service.healthy                      # stopped
+
+
+class _MessagePath:
+    """The serve path before the report table, as a reference model.
+
+    Every decide becomes a :class:`ThresholdReport` envelope (plus a
+    :class:`JoinLeave` for a device that had left as of the last drain)
+    queued on a plain :class:`EdgeCoordinator`, which applies them when
+    it drains before each measure.
+    """
+
+    def __init__(self, runtime, n: int, capacity: float, config):
+        self.runtime = runtime
+        self.coordinator = EdgeCoordinator(
+            runtime, LocalTransport(runtime, record_log=False), range(n),
+            capacity, config)
+        self.coordinator._left = set(self.coordinator.known)
+        self._seq = itertools.count()
+
+    def _send(self, message) -> None:
+        now = self.runtime.now
+        self.coordinator.mailbox.put(Envelope(
+            seq=next(self._seq), src=message.device, dst=EDGE_ADDRESS,
+            sent_at=now, delivered_at=now, message=message))
+
+    def decide(self, ids, round_number, thresholds, rates, join=True):
+        for device, threshold, rate in zip(ids, thresholds, rates):
+            if join and device in self.coordinator._left:
+                self._send(JoinLeave(device, True))
+            self._send(ThresholdReport(device, round_number, threshold,
+                                       rate))
+
+    def membership(self, ids, joining: bool) -> None:
+        for device in ids:
+            self._send(JoinLeave(device, joining))
+
+
+def _replay_script(script, config, n=16, capacity=2.5):
+    """Run ``script`` through the report table and the message path.
+
+    Ops: ``("decide", t, round, ids, rates)``, ``("join"|"leave", t,
+    ids)`` and ``("measure", t, round)``; each measure drains the
+    reference and requires the two coordinators to agree exactly.
+    """
+    runtime = SimpleNamespace(now=0.0)
+    table = ServingCoordinator(
+        runtime, LocalTransport(runtime, record_log=False), range(n),
+        capacity, config)
+    reference = _MessagePath(runtime, n, capacity, config)
+    old = reference.coordinator
+    measured = []
+    for op in script:
+        kind, runtime.now = op[0], op[1]
+        if kind == "decide":
+            _, _, round_number, ids, rates = op
+            thresholds = [float(3 * device % 7) for device in ids]
+            table.ingest_reports(np.array(ids, dtype=np.int64),
+                                 round_number, np.array(thresholds),
+                                 np.array(rates), join=True)
+            reference.decide(ids, round_number, thresholds, rates)
+        elif kind in ("join", "leave"):
+            ids = op[2]
+            table.set_membership(np.array(ids, dtype=np.int64),
+                                 kind == "join")
+            reference.membership(ids, kind == "join")
+        else:
+            table.round = old.round = op[2]
+            old._drain()
+            now = runtime.now
+            got, want = table._measure(now), old._measure(now)
+            assert got == want, (op, got, want)
+            assert table.joined == len(old.known) - len(old._left)
+            assert table.heard == old.heard
+            assert table.members(now).tolist() == old.members(now)
+            measured.append(got)
+    return measured
+
+
+def _rates(*values):
+    # Irregular floats, so a change in summation order would show.
+    return [v / 7.0 + 0.013 * v * v for v in values]
+
+
+class TestReportTableEquivalence:
+    """The report table against the per-message path it replaced."""
+
+    CONFIG = ServeConfig(round_period=1.0, report_window=3.0).protocol()
+
+    def test_duplicate_ids_keep_the_last_report(self):
+        measured = _replay_script([
+            ("decide", 0.1, 1, [3, 1, 3, 3], _rates(1, 2, 3, 4)),
+            ("measure", 1.0, 1),
+            ("decide", 1.2, 2, [1, 1, 5], _rates(5, 6, 7)),
+            ("measure", 2.0, 2),
+        ], self.CONFIG)
+        assert measured[0] == float(np.mean(_rates(2, 4)) / 2.5)
+
+    def test_older_round_does_not_overwrite_newer(self):
+        measured = _replay_script([
+            ("decide", 0.1, 5, [1, 2], _rates(1, 2)),
+            ("decide", 0.2, 4, [2, 3], _rates(3, 4)),
+            ("measure", 1.0, 5),
+            ("decide", 1.1, 5, [3], _rates(5)),
+            ("measure", 2.0, 5),
+        ], self.CONFIG)
+        assert measured[0] == float(np.mean(_rates(1, 2, 4)) / 2.5)
+
+    def test_leave_and_rejoin(self):
+        measured = _replay_script([
+            ("decide", 0.1, 1, [1, 2, 3], _rates(1, 2, 3)),
+            ("measure", 1.0, 1),
+            ("leave", 1.1, [2]),
+            ("measure", 2.0, 2),
+            ("decide", 2.1, 3, [2], _rates(4)),       # auto re-join
+            ("leave", 2.2, [3, 3]),
+            ("measure", 3.0, 3),
+            ("join", 3.1, [3]),                       # member, no report
+            ("leave", 3.2, [1, 2, 3]),
+            ("measure", 4.0, 4),
+        ], self.CONFIG)
+        assert measured[1] == float(np.mean(_rates(1, 3)) / 2.5)
+        assert measured[-1] is None
+
+    def test_liveness_timeout_prunes_silent_devices(self):
+        config = ServeConfig(round_period=1.0, report_window=100.0,
+                             liveness_timeout=2.0).protocol()
+        measured = _replay_script([
+            ("decide", 0.0, 1, [1, 2], _rates(1, 2)),
+            ("decide", 1.5, 2, [2], _rates(3)),
+            ("join", 2.0, [4]),
+            ("measure", 2.0, 2),
+            ("measure", 3.0, 3),                      # device 1 timed out
+            ("measure", 3.6, 3),                      # device 2 too
+            ("measure", 4.5, 4),                      # and the join's
+        ], config)
+        assert measured[1] == float(np.mean(_rates(3)) / 2.5)
+        assert measured[2] is None
+
+    def test_report_window_staleness(self):
+        measured = _replay_script([
+            ("decide", 0.0, 1, [1], _rates(1)),
+            ("decide", 2.0, 2, [2], _rates(2)),
+            ("measure", 2.5, 2),
+            ("measure", 4.0, 2),        # device 1's round-1 report is stale
+            ("measure", 10.0, 2),       # current-round reports never are
+            ("measure", 10.0, 3),
+        ], self.CONFIG)
+        assert measured[1] == measured[2] == float(_rates(2)[0] / 2.5)
+        assert measured[3] is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_scripts(self, seed):
+        rng = np.random.default_rng(seed)
+        config = ServeConfig(round_period=1.0, report_window=2.0,
+                             liveness_timeout=3.0).protocol()
+        script, now, round_number = [], 0.0, 1
+        for _ in range(80):
+            now += float(rng.exponential(0.4))
+            choice = rng.random()
+            ids = rng.integers(0, 16, int(rng.integers(1, 6))).tolist()
+            if choice < 0.55:
+                answered = round_number - int(rng.integers(0, 3))
+                script.append(("decide", now, max(answered, 0), ids,
+                               rng.random(len(ids)).tolist()))
+            elif choice < 0.7:
+                script.append(("leave", now, ids))
+            elif choice < 0.8:
+                script.append(("join", now, ids))
+            else:
+                round_number += 1
+            # Measure after every op: the message path only re-joins a
+            # device that had left as of the previous drain.
+            script.append(("measure", now, round_number))
+        measured = _replay_script(script, config)
+        assert any(value is not None for value in measured)
+
+
+def _settle(service):
+    """Wait until the loop thread has run everything submitted so far."""
+    done = threading.Event()
+    service.driver.submit(done.set)
+    assert done.wait(2.0)
+
+
+@pytest.mark.serve
+class TestReportIngest:
+    CONFIG = ServeConfig(round_period=60.0)     # no measure mid-test
+
+    def test_decide_after_leave_in_one_round_rejoins(self, population):
+        with DecisionService(population, self.CONFIG) as service:
+            service.decide([3, 4])
+            _settle(service)
+            service.leave([3])
+            service.decide([3])
+            _settle(service)
+            members = service.coordinator.members(service.driver.now)
+            assert members.tolist() == [3, 4]
+            assert service.state()["members"] == 2
+        # The message path checked membership as of the last drain, so
+        # the same sequence left device 3 out until a later decide.
+        runtime = SimpleNamespace(now=0.0)
+        old = _MessagePath(runtime, population.size, 1.0,
+                           self.CONFIG.protocol())
+        old.decide([3, 4], 0, [1.0, 1.0], [0.5, 0.5])
+        old.coordinator._drain()
+        old.membership([3], joining=False)
+        old.decide([3], 0, [1.0], [0.5])
+        old.coordinator._drain()
+        assert old.coordinator.members(0.0) == [4]
+
+    def test_caller_array_is_copied_before_ingest(self, population):
+        with DecisionService(population, self.CONFIG) as service:
+            gate = threading.Event()
+            service.driver.submit(lambda: gate.wait(2.0))   # hold the loop
+            ids = np.array([1, 2, 3], dtype=np.int64)
+            service.decide(ids)
+            ids[:] = [7, 8, 9]
+            gate.set()
+            _settle(service)
+            coordinator = service.coordinator
+            assert coordinator.members(service.driver.now).tolist() \
+                == [1, 2, 3]
+            assert coordinator.heard == 3
+
+    def test_concurrent_decides_lose_no_batch(self, population):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with DecisionService(population, self.CONFIG) as service:
+                def client(offset):
+                    for _ in range(50):
+                        service.decide([offset, offset + 8])
+
+                threads = [threading.Thread(target=client, args=(k,))
+                           for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                _settle(service)
+                assert service.coordinator.heard == 16
+                assert service.coordinator.joined == 16
+        finally:
+            sys.setswitchinterval(switch)
 
 
 @pytest.mark.serve
