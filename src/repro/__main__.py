@@ -358,9 +358,9 @@ def cmd_serve(args) -> int:
         )
         manifest.save(trace_dir / "manifest.json")
         tracer = Tracer(trace_dir / "events.jsonl", run_id=manifest.run_id)
-        # The coordinator's recorder carries the tracer but NOT the span
-        # collector: spans are shared across HTTP handler threads, so
-        # the DecisionServer owns them behind its lock.
+        # The coordinator's recorder carries the tracer but not the span
+        # collector: the DecisionServer shares that between its handler
+        # threads and the coordinator's round spans behind one lock.
         recorder = ObsRecorder(MetricsRegistry(), tracer)
         spans = SpanCollector(trace_dir / "spans.jsonl")
 

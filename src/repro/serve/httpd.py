@@ -27,8 +27,9 @@ reuse one connection per worker.
 Request spans: constructed with ``spans=SpanCollector(...)``, the server
 records one ``serve.decide`` span per admitted request (wall time as the
 span clock, status ``ok``/``error``) and one instant ``serve.shed`` span
-per rejection — handler threads share the collector behind a lock, which
-is why the collector is owned here and **not** handed to the coordinator.
+per rejection.  The coordinator's ``coordinator.broadcast`` round spans
+go to the same collector: handler threads and the coordinator's loop
+thread share it behind one lock, owned here.
 """
 
 from __future__ import annotations
@@ -148,16 +149,31 @@ class _Handler(QuietHandler):
     @staticmethod
     def _extract_devices(body: dict):
         """``device: int`` | ``devices: [int, ...]`` → ids, else None."""
+        # Exact types: bool is an int subclass and must not pass.
         if "device" in body:
             device = body["device"]
-            return device if isinstance(device, int) \
-                and not isinstance(device, bool) else None
+            return device if type(device) is int else None
         devices = body.get("devices")
-        if not isinstance(devices, list) or not devices or not all(
-                isinstance(d, int) and not isinstance(d, bool)
-                for d in devices):
+        if not isinstance(devices, list) or not devices \
+                or set(map(type, devices)) != {int}:
             return None
         return devices
+
+
+class _LockedSpans:
+    """A collector's ``start``/``end``, each taken under ``lock``."""
+
+    def __init__(self, spans: SpanCollector, lock: threading.Lock):
+        self._spans = spans
+        self._lock = lock
+
+    def start(self, *args, **kwargs) -> int:
+        with self._lock:
+            return self._spans.start(*args, **kwargs)
+
+    def end(self, *args, **kwargs) -> None:
+        with self._lock:
+            self._spans.end(*args, **kwargs)
 
 
 class DecisionServer:
@@ -169,6 +185,8 @@ class DecisionServer:
         self.service = service
         self.spans = spans
         self._span_lock = threading.Lock()
+        if spans is not None:
+            service.trace_rounds(_LockedSpans(spans, self._span_lock))
         self._daemon = HttpDaemon(
             _Handler, port=port, host=host,
             name="repro-decision-server", decision_server=self,

@@ -13,6 +13,9 @@
   on a wall-clock period, report windows from real arrivals, the shared
   Eq. 4 :class:`~repro.core.dtu.DtuStepper`, graceful degradation on
   silent rounds;
+* an :class:`AnswerRows` cache holding each device's encoded answer
+  row, so a ``/decide`` body is a byte join of cached rows, re-encoding
+  only the rows whose threshold changed since they were last served;
 * an :class:`AdmissionController` — a bounded in-flight watermark so
   overload sheds (the HTTP layer answers 503 + ``Retry-After``) instead
   of collapsing latency;
@@ -40,6 +43,7 @@ get the best available answer.
 from __future__ import annotations
 
 import functools
+import json
 import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -308,6 +312,76 @@ class AdmissionController:
             self.in_flight -= 1
 
 
+class AnswerRows:
+    """Each device's encoded ``/decide`` row, kept while its threshold holds.
+
+    A row's α and offload rate are a pure function of (device, threshold)
+    for the service's frozen population and kernel, so one slot per
+    device — the threshold it was encoded at, and the row's JSON bytes —
+    is valid exactly while that device's threshold is unchanged.  The
+    cache never holds more than N slots, however γ̂ moves.
+    """
+
+    def __init__(self, n: int):
+        self._threshold = np.full(n, -1, dtype=np.int64)    # -1: empty
+        self._rows = [b""] * n
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """Filled slots."""
+        return int(np.count_nonzero(self._threshold >= 0))
+
+    def join(self, ids: np.ndarray, id_list: list, thresholds: np.ndarray,
+             decisions: list) -> bytes:
+        """``b", ".join`` of the encoded ``decisions`` rows.
+
+        Only rows whose slot is empty or stale are encoded, all in one
+        ``json.dumps`` of their list (the encoder the whole answer would
+        use); the rest are reused.
+        """
+        rows = self._rows
+        with self._lock:
+            stale = np.flatnonzero(self._threshold[ids] != thresholds)
+            if stale.size:
+                indices = stale.tolist()
+                # Rows hold numbers under fixed keys, so "}, {" occurs
+                # only between two rows of the encoded list.
+                text = json.dumps([decisions[i] for i in indices])
+                for index, row in zip(indices,
+                                      text[2:-2].encode().split(b"}, {")):
+                    rows[id_list[index]] = b"{" + row + b"}"
+                self._threshold[ids[stale]] = thresholds[stale]
+            return b", ".join([rows[device] for device in id_list])
+
+
+class DecideAnswer(dict):
+    """The JSON-ready ``/decide`` payload, able to encode itself cheaply.
+
+    :meth:`json_body` returns ``(json.dumps(self) + "\\n").encode()`` for
+    the answer as :meth:`DecisionService.decide` built it, with the rows
+    taken from the service's :class:`AnswerRows`; the HTTP layer calls it
+    in place of ``json.dumps``.
+    """
+
+    __slots__ = ("_rows", "_ids", "_id_list", "_thresholds")
+
+    def __init__(self, fields: dict, rows: AnswerRows, ids: np.ndarray,
+                 id_list: list, thresholds: np.ndarray):
+        super().__init__(fields)
+        self._rows, self._ids = rows, ids
+        self._id_list, self._thresholds = id_list, thresholds
+
+    def json_body(self) -> bytes:
+        head = json.dumps({key: self[key]
+                           for key in ("round", "gamma", "stale")})
+        rows = self._rows.join(self._ids, self._id_list, self._thresholds,
+                               self["decisions"])
+        # A single-device answer repeats its row's keys after the list.
+        inline = b", " + rows[1:-1] if "device" in self else b""
+        return b"".join((head[:-1].encode(), b', "decisions": [', rows,
+                         b"]", inline, b"}\n"))
+
+
 class DecisionService:
     """The long-lived DTU decision service (transport-agnostic core).
 
@@ -357,6 +431,7 @@ class DecisionService:
             total_capacity=self.config.rate_capacity,
         )
         self._load_lock = threading.Lock()
+        self.rows = AnswerRows(population.size)
         self._started = False
         # Pre-create the serving instruments so first-touch registry
         # mutation never races across handler threads.
@@ -397,12 +472,13 @@ class DecisionService:
     # -- queries -----------------------------------------------------------
 
     def decide(self, devices: Union[int, Sequence[int]],
-               report: bool = True) -> dict:
+               report: bool = True) -> DecideAnswer:
         """Thresholds for a device batch at the current γ̂ — one probe.
 
-        Returns a JSON-ready payload.  ``report=True`` (the default)
-        writes the decisions into the coordinator's report table, so
-        served traffic *is* the measurement population.  Raises
+        Returns a JSON-ready payload, a dict that can also encode itself
+        from the row cache (:class:`DecideAnswer`).  ``report=True`` (the
+        default) writes the decisions into the coordinator's report
+        table, so served traffic *is* the measurement population.  Raises
         :class:`ValueError` for unknown device ids or an oversized batch
         (the HTTP layer maps that to 400/413).
         """
@@ -437,22 +513,30 @@ class DecisionService:
         self.registry.inc("serve.decisions", float(ids.size))
         self.registry.observe("serve.batch_size", float(ids.size))
 
+        id_list = ids.tolist()
         decisions = [
             {"device": device, "threshold": threshold,
              "offload_probability": alpha, "offload_rate": rate}
             for device, threshold, alpha, rate
-            in zip(ids.tolist(), thresholds.tolist(), alphas.tolist(),
+            in zip(id_list, thresholds.tolist(), alphas.tolist(),
                    rates.tolist())
         ]
-        payload = {
-            "round": round_number,
-            "gamma": gamma,
-            "stale": self.stale,
-            "decisions": decisions,
-        }
+        payload = DecideAnswer(
+            {"round": round_number, "gamma": gamma, "stale": self.stale,
+             "decisions": decisions},
+            self.rows, ids, id_list, thresholds)
         if single:
             payload.update(decisions[0])
         return payload
+
+    def trace_rounds(self, spans) -> None:
+        """Record the coordinator's round spans into ``spans``.
+
+        ``spans`` has a :class:`~repro.obs.spans.SpanCollector`'s
+        ``start``/``end``; the coordinator calls them from the loop
+        thread, so a collector shared with other threads must lock.
+        """
+        self._obs.spans = spans
 
     def join(self, devices: Union[int, Iterable[int]]) -> int:
         """Announce membership for a device batch."""

@@ -60,8 +60,15 @@ class QuietHandler(BaseHTTPRequestHandler):
 
     def send_json(self, status: int, document: dict,
                   extra_headers: Optional[dict] = None) -> None:
+        """``document`` as one JSON line.
+
+        A document with a ``json_body()`` method encodes itself; it must
+        return exactly ``(json.dumps(document) + "\\n").encode()``.
+        """
+        json_body = getattr(document, "json_body", None)
         self.send_payload(
-            status, (json.dumps(document) + "\n").encode("utf-8"),
+            status, json_body() if json_body is not None
+            else (json.dumps(document) + "\n").encode("utf-8"),
             content_type="application/json; charset=utf-8",
             extra_headers=extra_headers,
         )

@@ -14,6 +14,8 @@ Three contracts pin :mod:`repro.serve` to the rest of the repo:
 
 from __future__ import annotations
 
+import http.client
+import importlib.util
 import itertools
 import json
 import sys
@@ -21,6 +23,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,6 +46,7 @@ from repro.serve import (
     ServingCoordinator,
     WallClockDriver,
 )
+from repro.__main__ import main as repro_main
 from repro.serve.replay import ReplayConfig, run_replay
 
 
@@ -497,6 +501,109 @@ class TestReportIngest:
             sys.setswitchinterval(switch)
 
 
+def _body(payload) -> bytes:
+    return (json.dumps(payload) + "\n").encode()
+
+
+def _check_decide():
+    """The repository benchmark's offline re-derivation of an answer."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.check_decide
+
+
+@pytest.mark.serve
+class TestAnswerEncoding:
+    """Answers encoded from the row cache equal ``json.dumps``, bytewise."""
+
+    GAMMAS = (0.0, 0.35, 0.6, 0.35, 0.95, 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_rows_match_a_fresh_dump(self, population, seed):
+        rng = np.random.default_rng(seed)
+        service = DecisionService(population)
+        stepper = service.coordinator.stepper
+        for gamma in self.GAMMAS:
+            stepper.estimate = gamma
+            for _ in range(5):
+                ids = rng.integers(0, population.size, 40)
+                ids[::7] = ids[0]                       # duplicate ids
+                payload = service.decide(ids, report=False)
+                assert payload.json_body() == _body(payload)
+                payload = service.decide(int(ids[1]), report=False)
+                assert payload.json_body() == _body(payload)
+
+    def test_concurrent_answers_each_match_their_payload(self, population):
+        service = DecisionService(population)
+        stepper = service.coordinator.stepper
+        stop = threading.Event()
+        mismatches, answered = [], []
+
+        def flip():
+            while not stop.is_set():
+                stepper.estimate = 0.6 if stepper.estimate == 0.1 else 0.1
+
+        def client(offset):
+            rng = np.random.default_rng(offset)
+            for _ in range(60):
+                ids = (offset + rng.integers(0, 24, 16)) % population.size
+                payload = service.decide(ids, report=False)
+                if payload.json_body() != _body(payload):
+                    mismatches.append(payload)
+                answered.append(payload["gamma"])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        flipper = threading.Thread(target=flip)
+        clients = [threading.Thread(target=client, args=(8 * k,))
+                   for k in range(8)]
+        try:
+            flipper.start()
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(20.0)
+        finally:
+            stop.set()
+            flipper.join(5.0)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in clients + [flipper])
+        assert len(answered) == 8 * 60
+        assert set(answered) == {0.1, 0.6}              # γ̂ did flip
+        assert mismatches == []
+
+    def test_cache_is_bounded_by_the_fleet(self, population):
+        service = DecisionService(population)
+        everyone = np.arange(population.size)
+        for gamma in np.linspace(0.0, 1.0, 41):
+            service.coordinator.stepper.estimate = float(gamma)
+            service.decide(everyone, report=False).json_body()
+        assert len(service.rows) == population.size
+        assert len(service.rows._rows) == population.size
+
+    def test_http_answer_passes_the_benchmark_check(self, population,
+                                                    kernel):
+        check_decide = _check_decide()
+        config = ServeConfig(round_period=0.05)
+        ids = [3, 9, 3, 63, 0]
+        with DecisionServer(DecisionService(population, config)) as live:
+            conn = http.client.HTTPConnection("127.0.0.1", live.port,
+                                              timeout=10)
+            try:
+                for _ in range(3):
+                    conn.request("POST", "/decide",
+                                 body=json.dumps({"devices": ids}))
+                    response = conn.getresponse()
+                    body = response.read()
+                    assert response.status == 200
+                    assert check_decide(kernel, ids, body) == []
+                    time.sleep(0.06)                    # cross a round
+            finally:
+                conn.close()
+
+
 @pytest.mark.serve
 class TestDecisionServer:
     @pytest.fixture()
@@ -522,10 +629,15 @@ class TestDecisionServer:
         assert len(body["decisions"]) == 3
         status, body, _ = _post(server.url + "/decide", {"device": 5})
         assert status == 200 and body["device"] == 5
+        for devices in ([1, True], [1, 2.0], [1, "2"], [1, [2]], [None]):
+            status, _, _ = _post(server.url + "/decide",
+                                 {"devices": devices})
+            assert status == 400, devices
 
     def test_error_mapping(self, server):
         assert _post(server.url + "/decide", {})[0] == 400
         assert _post(server.url + "/decide", {"device": "x"})[0] == 400
+        assert _post(server.url + "/decide", {"device": True})[0] == 400
         assert _post(server.url + "/decide", {"devices": []})[0] == 400
         assert _post(server.url + "/decide", {"device": 10**6})[0] == 400
         assert _post(server.url + "/nope", {"device": 1})[0] == 404
@@ -557,6 +669,25 @@ class TestDecisionServer:
             status, _, _ = _post(live.url + "/decide", {"device": 1})
             assert status == 200
             assert live.service.state()["shed_total"] == 1
+
+
+@pytest.mark.serve
+def test_cli_trace_records_every_round_span(tmp_path, capsys):
+    trace = tmp_path / "trace"
+    assert repro_main(["serve", "--users", "64", "--port", "0",
+                       "--round-period", "0.02", "--duration", "0.3",
+                       "--trace", str(trace)]) == 0
+    spans = [json.loads(line)
+             for line in (trace / "spans.jsonl").read_text().splitlines()]
+    counters = json.loads((trace / "metrics.json").read_text())["counters"]
+    rounds = [span for span in spans
+              if span["name"] == "coordinator.broadcast"]
+    assert len(rounds) == counters["net.broadcasts"] >= 2
+    # Balance: every opened span was closed (the last round by the
+    # shutdown's finish) and written exactly once.
+    assert len(spans) == len({span["id"] for span in spans}) \
+        == counters["spans.opened"]
+    assert all(span["status"] != "open" for span in spans)
 
 
 @pytest.mark.serve
